@@ -58,7 +58,7 @@ NODE_BY_PREFIX: dict[str, str] = {
     # The corpus engine drives whole sweeps through the fitted
     # pipeline, so unlike the rest of ``repro.perf`` it must sit
     # *above* ``core`` and ``io`` — it is its own node, importable by
-    # eval/bench/app, while ``perf.pool``/``perf.parallel`` stay in
+    # serve/bench/app, while ``perf.pool``/``perf.parallel`` stay in
     # the low ``perf`` node below ``core``.
     "repro.perf.engine": "perf.engine",
     "repro.perf": "perf",
@@ -135,7 +135,7 @@ ALLOWED_DEPENDENCIES: dict[str, frozenset[str]] = {
     "eval": frozenset(
         {
             "baselines", "core", "datagen", "dialect", "errors", "io",
-            "ml", "obs", "perf", "perf.engine", "types", "util",
+            "ml", "obs", "perf", "types", "util",
         }
     ),
     # The service shell needs the engine it wraps and the layers the

@@ -12,7 +12,6 @@ corpora) when more time is available.
 from __future__ import annotations
 
 import os
-import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,12 +32,10 @@ from repro.core.strudel import (
     LineToCellBaseline,
     StrudelCellClassifier,
     StrudelLineClassifier,
-    StrudelPipeline,
 )
 from repro.datagen.corpora import make_corpus
 from repro.io.annotations import load_corpus
 from repro.io.writer import write_csv_text
-from repro.perf.engine import CorpusEngine
 from repro.eval.runner import (
     ClassificationScores,
     CVResult,
@@ -213,22 +210,15 @@ class ExperimentConfig:
             epochs=self.rnn_epochs, random_state=self.seed
         )
 
-    def strudel_pipeline(self, **kwargs) -> StrudelPipeline:
-        """A config-sized end-to-end Strudel pipeline."""
-        kwargs.setdefault("n_estimators", self.n_estimators)
-        kwargs.setdefault("random_state", self.seed)
-        kwargs.setdefault("n_jobs", self.n_jobs)
-        return StrudelPipeline(**kwargs)
-
 
 # ----------------------------------------------------------------------
-# Corpus-scale sweeps through the persistent-worker engine
+# Corpus materialization
 # ----------------------------------------------------------------------
 def materialize_corpus(corpus: Corpus, directory: str | Path) -> list[Path]:
     """Write a corpus's tables to ``directory`` as CSV files.
 
-    Returns the file paths in corpus order — the on-disk shape the
-    corpus engine (and ``repro classify <dir>``) consumes.
+    Returns the file paths in corpus order — the on-disk shape that
+    ``repro classify <dir>`` and the bench's sweeps read.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -240,52 +230,6 @@ def materialize_corpus(corpus: Corpus, directory: str | Path) -> list[Path]:
         )
         paths.append(path)
     return paths
-
-
-def corpus_sweep(
-    config: ExperimentConfig,
-    train: str = "saus",
-    target: str | None = None,
-    directory: str | Path | None = None,
-    cache_dir: str | Path | None = None,
-) -> dict:
-    """Sweep one corpus through an engine built on another's model.
-
-    Trains a pipeline on ``train`` (feature-cached, config-sized),
-    materializes ``target`` (default: the training corpus itself) as
-    CSV files, and runs a :class:`~repro.perf.engine.CorpusEngine`
-    sweep over them at ``config.n_jobs`` workers.  Returns the sweep
-    report plus aggregate line-class counts — the corpus-scale
-    companion to the per-file ``analyze`` experiments.
-    """
-    target = target or train
-    pipeline = config.strudel_pipeline(
-        feature_cache=config.feature_cache(train)
-    )
-    pipeline.fit(config.corpus(train).files)
-    with tempfile.TemporaryDirectory() as scratch:
-        paths = materialize_corpus(
-            config.corpus(target), directory or scratch
-        )
-        with CorpusEngine(
-            pipeline,
-            n_jobs=config.n_jobs,
-            cache_dir=cache_dir,
-        ) as engine:
-            results, report = engine.sweep_paths(paths)
-    line_counts: Counter = Counter()
-    cells = 0
-    for _path, result in results:
-        for klass in result.line_classes():
-            line_counts[klass.value] += 1
-        cells += len(result.cell_codes)
-    return {
-        "train": train,
-        "target": target,
-        "report": report.as_dict(),
-        "line_class_counts": dict(sorted(line_counts.items())),
-        "classified_cells": cells,
-    }
 
 
 # ----------------------------------------------------------------------

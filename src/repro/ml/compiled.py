@@ -18,8 +18,9 @@ level-synchronous traversal over the full ``(samples x trees)``
 frontier: all sample/tree pairs descend together, and the loop count
 is the depth of the deepest tree, not ``n_trees x depth``.
 
-Byte-identity with the legacy path is a hard contract (the parity
-suite pins ``.tobytes()`` equality):
+Byte-identity with the legacy per-tree loop is a hard contract (the
+parity suite keeps that loop in ``tests/`` as the oracle and pins
+``.tobytes()`` equality):
 
 * node descent evaluates exactly the legacy comparison
   ``X[row, feature] <= threshold``, so every pair reaches the same

@@ -1,13 +1,9 @@
 """The ``repro bench`` harness: a perf trajectory for the pipeline.
 
 Times the stages the paper profiles in Section 6.3.4 (dialect
-detection, parsing, feature creation, prediction) plus the three ways
+detection, parsing, feature creation, prediction) plus the two ways
 this repository can serve an ``analyze`` request:
 
-* **legacy two-pass** — the pre-single-pass flow: line classification
-  and cell classification each extract the line feature matrix
-  themselves (what ``StrudelPipeline.analyze`` did before the
-  single-pass plan, reconstructed from public APIs);
 * **single-pass** — one :class:`~repro.core.strudel.LineInference`
   shared by both output granularities (the current ``analyze``);
 * **cached** — single-pass with a warm
@@ -40,9 +36,7 @@ import tarfile
 import tempfile
 import time
 import zipfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -62,10 +56,10 @@ from repro.io.ingest import IngestPolicy, decode_bytes, ingest_text
 from repro.io.writer import write_csv_text
 from repro.obs import PIPELINE_STAGES, Tracer, activate, get_tracer
 from repro.perf.cache import FeatureCache
-from repro.perf.engine import CorpusEngine, FileResult, _run_batch
+from repro.perf.engine import CorpusEngine, FileResult
 from repro.serve.client import ServiceClient
 from repro.serve.service import ClassificationService
-from repro.types import Corpus, Table
+from repro.types import Corpus
 from repro.util.rng import as_generator
 
 #: Schema tag for the emitted JSON, bumped on incompatible changes.
@@ -134,19 +128,6 @@ def _median_seconds(fn: Callable[[], object], repeats: int) -> float:
     return sorted(samples)[len(samples) // 2]
 
 
-def _parse(text: str) -> Table:
-    # Routed through the hardened ingestion stage, like analyze(), so
-    # the legacy-vs-single-pass comparison measures the same front end.
-    return crop_table(ingest_text(text).table)
-
-
-def _legacy_two_pass(pipeline: StrudelPipeline, text: str) -> None:
-    """The pre-PR analyze flow: both classifiers extract on their own."""
-    table = _parse(text)
-    pipeline.line_classifier.predict(table)
-    pipeline.cell_classifier.predict(table)
-
-
 def _stage_breakdown(
     pipeline: StrudelPipeline, text: str, repeats: int = 1
 ) -> dict[str, float]:
@@ -207,7 +188,7 @@ def _bench_prediction(
     table lines through line prediction; cells/sec counts non-empty
     cells through cell prediction.
     """
-    table = _parse(text)
+    table = crop_table(ingest_text(text).table)
     line = pipeline.line_classifier
     cells = pipeline.cell_classifier
     inference = line.infer(table)
@@ -289,53 +270,6 @@ def _bench_cv(config: BenchConfig, corpus: Corpus) -> dict:
     }
 
 
-def _percall_file(
-    pipeline: StrudelPipeline, policy: IngestPolicy, item: tuple
-) -> tuple:
-    """One file through the pipeline, for the pre-change baseline.
-
-    Bound into a :func:`functools.partial` carrying the fitted
-    pipeline, so every task submission re-pickles the model — exactly
-    the cost profile the persistent-worker engine amortizes away.
-    """
-    return _run_batch(pipeline, policy, [item])[0]
-
-
-def _contiguous_batches(items: list[tuple], jobs: int) -> list[list[tuple]]:
-    """Size-balanced contiguous micro-batches mirroring the engine's
-    sharding plan, so the baseline fans out the same work units."""
-    total = sum(len(data) for _, _, data in items)
-    budget = max(1, total // max(1, jobs * 4))
-    batches: list[list[tuple]] = []
-    batch: list[tuple] = []
-    spent = 0
-    for item in items:
-        batch.append(item)
-        spent += len(item[2])
-        if spent >= budget or len(batch) >= 64:
-            batches.append(batch)
-            batch, spent = [], 0
-    if batch:
-        batches.append(batch)
-    return batches
-
-
-def _percall_pool_sweep(
-    pipeline: StrudelPipeline,
-    policy: IngestPolicy,
-    batches: list[list[tuple]],
-    jobs: int,
-) -> list[tuple]:
-    """Sweep via the pre-change pattern: a fresh process pool per
-    fan-out, the fitted model pickled into every task."""
-    out: list[tuple] = []
-    fn = partial(_percall_file, pipeline, policy)
-    for batch in batches:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            out.extend(pool.map(fn, batch))
-    return out
-
-
 def _sweep_results_identical(a: list[FileResult], b: list[FileResult]) -> bool:
     """Byte-level parity between two sweeps over the same paths."""
     if len(a) != len(b):
@@ -353,12 +287,11 @@ def _bench_corpus_sweep(config: BenchConfig, corpus: Corpus,
                         pipeline: StrudelPipeline) -> dict:
     """Whole-corpus sweep throughput.
 
-    Three measurements over the same materialized corpus:
+    Two measurements over the same materialized corpus, each through
+    ``process_payloads`` with the file bytes read up front:
 
-    * the pre-change per-call-pool baseline (fresh pool per micro-batch,
-      model pickled per task) at the parallel jobs level;
     * the persistent-worker engine at ``n_jobs`` in ``{1, jobs}``,
-      timed on a *second* sweep so the pool is warm — the steady state
+      timed on a *second* call so the pool is warm — the steady state
       the engine exists to provide (the cold number is the cache-cold
       pass below, which pays the one-time spawn + broadcast);
     * the on-disk sweep cache, cold pass vs all-hits warm pass.
@@ -368,22 +301,7 @@ def _bench_corpus_sweep(config: BenchConfig, corpus: Corpus,
     with tempfile.TemporaryDirectory(prefix="repro-bench-sweep-") as tmp:
         root = Path(tmp)
         paths = materialize_corpus(corpus, root / "files")
-        items = [
-            (index, str(path), path.read_bytes())
-            for index, path in enumerate(paths)
-        ]
-
-        batches = _contiguous_batches(items, jobs)
-        start = time.perf_counter()
-        percall = _percall_pool_sweep(pipeline, policy, batches, jobs)
-        percall_seconds = time.perf_counter() - start
-        failures = [
-            payload for _, payload in percall if isinstance(payload, tuple)
-        ]
-        if failures:
-            raise InvalidParameterError(
-                f"per-call baseline sweep failed: {failures[0][1]}"
-            )
+        items = [(str(path), path.read_bytes()) for path in paths]
 
         engine_results: dict[int, list[FileResult]] = {}
         engine_seconds: dict[int, float] = {}
@@ -391,25 +309,25 @@ def _bench_corpus_sweep(config: BenchConfig, corpus: Corpus,
             with CorpusEngine(
                 pipeline, n_jobs=level, policy=policy
             ) as engine:
-                engine.sweep_paths(paths)  # warm the pool + broadcast
+                engine.process_payloads(items)  # warm the pool + broadcast
                 start = time.perf_counter()
-                results, report = engine.sweep_paths(paths)
+                results, report = engine.process_payloads(items)
                 engine_seconds[level] = time.perf_counter() - start
             if report.skipped:
                 first = report.skipped[0]
                 raise InvalidParameterError(
                     f"engine sweep skipped {first.path}: {first.reason}"
                 )
-            engine_results[level] = [result for _, result in results]
+            engine_results[level] = results
 
         with CorpusEngine(
             pipeline, n_jobs=jobs, policy=policy, cache_dir=root / "cache"
         ) as engine:
             start = time.perf_counter()
-            engine.sweep_paths(paths)
+            engine.process_payloads(items)
             cache_cold_seconds = time.perf_counter() - start
             start = time.perf_counter()
-            _, warm_report = engine.sweep_paths(paths)
+            _, warm_report = engine.process_payloads(items)
             cache_warm_seconds = time.perf_counter() - start
 
         cells = sum(len(r.cell_codes) for r in engine_results[1])
@@ -425,12 +343,8 @@ def _bench_corpus_sweep(config: BenchConfig, corpus: Corpus,
             "files": len(paths),
             "cells": cells,
             "jobs": jobs,
-            "percall_pool_seconds": percall_seconds,
             "sequential_seconds": engine_seconds[1],
             "engine": levels,
-            # Headline: warm persistent workers vs the per-call pools
-            # the engine replaced, same jobs level, same batch plan.
-            "engine_speedup": percall_seconds / engine_seconds[jobs],
             "cache_cold_seconds": cache_cold_seconds,
             "cache_warm_seconds": cache_warm_seconds,
             "cache_speedup": cache_cold_seconds / cache_warm_seconds,
@@ -567,17 +481,16 @@ def _bench_service_roundtrip(config: BenchConfig, corpus: Corpus,
                 f"service round-trip skipped {failures[0].path}: "
                 f"{failures[0].reason}"
             )
+        items = [(str(path), path.read_bytes()) for path in paths]
         with CorpusEngine(pipeline, n_jobs=1, policy=policy) as engine:
-            direct, _report = engine.sweep_paths(paths)
+            direct, _report = engine.process_payloads(items)
         return {
             "files": len(paths),
             "seconds": seconds,
             "files_per_second": len(paths) / seconds,
             "requests": summary["requests"],
             "dead_letters": summary["dead_letters"],
-            "byte_identical": _sweep_results_identical(
-                served, [result for _, result in direct]
-            ),
+            "byte_identical": _sweep_results_identical(served, direct),
         }
 
 
@@ -598,12 +511,8 @@ def run_benchmark(config: BenchConfig | None = None) -> dict:
     fit_seconds = time.perf_counter() - start
 
     # Warm numpy/allocator caches before any timed region.
-    _legacy_two_pass(pipeline, text)
     pipeline.analyze(text)
 
-    legacy_seconds = _median_seconds(
-        lambda: _legacy_two_pass(pipeline, text), config.repeats
-    )
     single_pass_seconds = _median_seconds(
         lambda: pipeline.analyze(text), config.repeats
     )
@@ -633,14 +542,8 @@ def run_benchmark(config: BenchConfig | None = None) -> dict:
         "stages": stages,
         "prediction": prediction,
         "analyze": {
-            "legacy_two_pass_seconds": legacy_seconds,
             "single_pass_seconds": single_pass_seconds,
             "cached_seconds": cached_seconds,
-            # Cold-path gain from extracting line features once.
-            "single_pass_speedup": legacy_seconds / single_pass_seconds,
-            # Headline: repeated traffic over known content against
-            # the pre-PR two-pass baseline.
-            "analyze_speedup": legacy_seconds / cached_seconds,
             "cache_hits": cache_stats["hits"],
             "cache_misses": cache_stats["misses"],
         },
@@ -689,9 +592,7 @@ def _timing_metrics(report: dict) -> dict[str, float]:
     for stage, seconds in report["stages"].items():
         metrics[f"stages.{stage}"] = seconds
     analyze = report["analyze"]
-    for key in (
-        "legacy_two_pass_seconds", "single_pass_seconds", "cached_seconds"
-    ):
+    for key in ("single_pass_seconds", "cached_seconds"):
         metrics[f"analyze.{key}"] = analyze[key]
     cv = report["cv"]
     for key in ("uncached_seconds", "cached_seconds"):
@@ -885,11 +786,8 @@ def format_summary(report: dict) -> str:
     lines.extend(
         [
             "analyze:",
-            f"  legacy two-pass      {analyze['legacy_two_pass_seconds']:>8.3f}s",
-            f"  single-pass          {analyze['single_pass_seconds']:>8.3f}s"
-            f"  ({analyze['single_pass_speedup']:.2f}x)",
-            f"  single-pass + cache  {analyze['cached_seconds']:>8.3f}s"
-            f"  ({analyze['analyze_speedup']:.2f}x)",
+            f"  single-pass          {analyze['single_pass_seconds']:>8.3f}s",
+            f"  single-pass + cache  {analyze['cached_seconds']:>8.3f}s",
             "cv:",
             f"  uncached             {cv['uncached_seconds']:>8.3f}s",
             f"  cached               {cv['cached_seconds']:>8.3f}s"
@@ -906,8 +804,6 @@ def format_summary(report: dict) -> str:
             [
                 f"corpus sweep ({sweep['files']} files, "
                 f"{sweep['cells']} cells):",
-                "  per-call pools       "
-                f"{sweep['percall_pool_seconds']:>8.3f}s",
                 "  engine, 1 worker     "
                 f"{seq['seconds']:>8.3f}s"
                 f"  ({seq['files_per_second']:,.1f} files/s, "
@@ -915,8 +811,7 @@ def format_summary(report: dict) -> str:
                 f"  engine, {jobs} workers    "
                 f"{par['seconds']:>8.3f}s"
                 f"  ({par['files_per_second']:,.1f} files/s, "
-                f"{par['cells_per_second']:,.0f} cells/s, "
-                f"{sweep['engine_speedup']:.2f}x vs per-call)",
+                f"{par['cells_per_second']:,.0f} cells/s)",
                 "  sweep cache warm     "
                 f"{sweep['cache_warm_seconds']:>8.3f}s"
                 f"  ({sweep['cache_speedup']:.2f}x vs cold "

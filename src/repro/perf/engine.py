@@ -1,4 +1,4 @@
-"""Persistent-worker corpus engine: sweep a file list through one model.
+"""Persistent-worker corpus engine: classify payloads through one model.
 
 The per-file pipeline is fast (PR 3 columnar profile, PR 7 compiled
 forest); the corpus — the unit of work Datamaran-style data-lake
@@ -8,7 +8,8 @@ and nothing survives between sweeps.  :class:`CorpusEngine` fixes all
 three amortization failures:
 
 * **warm workers** — one private :class:`~repro.perf.pool.WorkerPool`
-  per engine, kept alive across :meth:`CorpusEngine.sweep` calls;
+  per engine, kept alive across :meth:`CorpusEngine.process_payloads`
+  calls;
 * **one-time model broadcast** — the fitted pipeline is pickled once
   (feature caches detached — they are process-local) into the pool
   initializer, so each worker deserializes the compiled forest tensors
@@ -17,21 +18,23 @@ three amortization failures:
   by ``(file content hash, model fingerprint, ingest policy)``, so
   re-sweeping an unchanged corpus never reaches a worker at all.
 
-Determinism contract: ``sweep`` shards the file list into
-*contiguous, size-balanced* micro-batches and streams ``(path,
-result)`` pairs back in **input order** with a bounded in-flight
-window (backpressure: at most ``window`` batches of raw bytes exist at
-once).  Results are plain numpy arrays (class codes, cell positions),
-so parity across ``n_jobs``, cache hits and misses is checkable with
+:meth:`CorpusEngine.process_payloads` is the one execution path.  It
+takes ``(name, bytes)`` payloads, shards the cache misses into
+*contiguous, size-balanced* micro-batches and submits **all** of them
+up front; the result list is aligned with the input.  The caller
+bounds how much raw data one call holds: the CLI lake sweep passes
+64-source chunks, ``repro serve`` its ``batch_files`` batches.
+Results are plain numpy arrays (class codes, cell positions), so
+parity across ``n_jobs``, cache hits and misses is checkable with
 ``.tobytes()`` equality — the pinned guarantee that parallelism may
 change *when* work happens, never *what* it computes.
 
-Failure routing: a file that cannot be read or classified becomes a
-:class:`SkipEntry` in the run's :class:`SweepReport` instead of
-aborting the sweep; a worker killed mid-batch is recorded loudly
-(``sweep.worker_crashes`` metric + ``RuntimeWarning``), its batch's
-files join the skip report as casualties, and the pool respawns for
-the remaining files.
+Failure routing: a payload that cannot be classified becomes a
+:class:`SkipEntry` in its slot instead of aborting the call.  A worker
+death breaks the pool for the whole call: it is recorded loudly once
+(``sweep.worker_crashes`` metric + one ``RuntimeWarning``), every
+batch of the call that had not finished becomes replayable
+``"worker"``-stage skips, and the pool respawns for the next call.
 """
 
 from __future__ import annotations
@@ -43,12 +46,11 @@ import tempfile
 import threading
 import warnings
 import zipfile
-from collections import deque
 from concurrent.futures import CancelledError, Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -188,9 +190,10 @@ class FileResult:
 class SkipEntry:
     """One file the sweep could not classify, and why.
 
-    ``stage`` is where it failed: ``"read"`` (the bytes never left the
-    parent), ``"classify"`` (the pipeline raised in a worker) or
-    ``"worker"`` (the worker process died mid-batch).
+    ``stage`` is where it failed: ``"read"`` (the service front end
+    could not read the source), ``"classify"`` (the pipeline raised)
+    or ``"worker"`` (the worker process died before the batch
+    finished).
     """
 
     path: Path
@@ -473,27 +476,6 @@ class SweepCache:
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-class SweepRun:
-    """One in-progress sweep: iterate for results, read ``report``.
-
-    Iterating yields ``(path, FileResult)`` pairs in input order;
-    ``report`` is filled in as iteration proceeds and is complete once
-    the iterator is exhausted.
-    """
-
-    def __init__(self, engine: "CorpusEngine", paths: list[Path]):
-        self.report = SweepReport(files=len(paths))
-        self._engine = engine
-        self._paths = paths
-
-    def __iter__(self) -> Iterator[tuple[Path, FileResult]]:
-        return self._engine._run(self._paths, self.report)
-
-    def collect(self) -> list[tuple[Path, FileResult]]:
-        """Drain the whole sweep into a list (report then final)."""
-        return list(self)
-
-
 class CorpusEngine:
     """Sweep file corpora through one fitted pipeline, fast.
 
@@ -510,9 +492,6 @@ class CorpusEngine:
         Ingest policy applied to every file (part of the cache key).
     cache_dir:
         Optional directory for the content-addressed sweep cache.
-    window:
-        Maximum in-flight micro-batches (backpressure bound).
-        Defaults to ``2 * workers``.
 
     Use as a context manager (or call :meth:`close`) to release the
     warm workers deterministically; an engine left open is reaped at
@@ -525,14 +504,10 @@ class CorpusEngine:
         n_jobs: int | None = 1,
         policy: IngestPolicy | None = None,
         cache_dir: str | Path | None = None,
-        window: int | None = None,
     ):
-        if window is not None and window < 1:
-            raise InvalidParameterError("window must be >= 1")
         self._pipeline = pipeline
         self._policy = policy or IngestPolicy()
         self._n_jobs = n_jobs
-        self._window = window
         self._fingerprint = model_fingerprint(pipeline)
         self._policy_key = policy_fingerprint(self._policy)
         self.cache = (
@@ -559,41 +534,26 @@ class CorpusEngine:
         self.close()
 
     # ------------------------------------------------------------------
-    def sweep(self, paths: Iterable[str | Path]) -> SweepRun:
-        """Classify every file, streaming results in input order.
-
-        Returns a :class:`SweepRun`; iterate it for ``(path,
-        FileResult)`` pairs.  Unreadable or unclassifiable files are
-        skipped into ``run.report``, never raised.
-        """
-        return SweepRun(self, [Path(p) for p in paths])
-
-    def sweep_paths(
-        self, paths: Iterable[str | Path]
-    ) -> tuple[list[tuple[Path, FileResult]], SweepReport]:
-        """Convenience: run a sweep to completion and return both."""
-        run = self.sweep(paths)
-        return run.collect(), run.report
-
     def process_payloads(
         self, items: Sequence[tuple[str, bytes]]
     ) -> tuple[list["FileResult | SkipEntry"], SweepReport]:
         """Classify in-memory payloads through the warm pool.
 
-        The service front end's entry point: no filesystem access,
-        and the return value is a list **aligned with** ``items`` — a
+        The engine's one execution path: no filesystem access, and
+        the return value is a list **aligned with** ``items`` — a
         :class:`FileResult` per success, a :class:`SkipEntry` per
         failure (stage ``"classify"`` or ``"worker"``) — plus the
-        run's :class:`SweepReport`.  The sweep cache is consulted and
-        populated exactly as in :meth:`sweep`, so a served payload and
-        a swept file with the same bytes share one cache entry.
+        run's :class:`SweepReport`.  The sweep cache is consulted
+        before any work fans out and populated as results settle, so
+        payloads with the same bytes share one cache entry whichever
+        caller sent them.
 
-        Unlike :meth:`sweep`, every micro-batch is submitted up front
-        (the caller — a bounded service queue — provides the
-        backpressure), so a worker crash fails the remaining batches
-        of *this call* loudly instead of resubmitting them; the
-        entries are replayable and the pool respawns for the next
-        call.
+        Every micro-batch is submitted up front; the caller bounds
+        the call size (the CLI lake sweep's 64-source chunks, the
+        service's ``batch_files``).  A worker crash therefore fails
+        the unfinished batches of *this call* loudly instead of
+        resubmitting them; the entries are replayable and the pool
+        respawns for the next call.
         """
         indexed = [
             (i, str(name), bytes(data))
@@ -619,7 +579,7 @@ class CorpusEngine:
                 pending, report, tracer
             ):
                 if results is None:
-                    # Worker crash: _crashed_batch named the
+                    # Worker crash: _skip_casualties named the
                     # casualties; align them with their slots.
                     entries = report.skipped[-len(batch):]
                     for (i, _name, _data), entry in zip(batch, entries):
@@ -670,10 +630,13 @@ class CorpusEngine:
         """Shard ``pending`` payloads and resolve every micro-batch.
 
         Yields ``(batch, results)`` pairs; ``results`` is ``None`` for
-        a batch whose worker died (the casualties are already in the
-        report).  An interrupt mid-flight cancels the outstanding
-        futures and discards the pool before re-raising, so the next
-        call on this engine starts from a clean executor.
+        a batch lost to a worker death (the casualties are already in
+        the report).  One death breaks the pool, and with it every
+        batch of this call that had not finished; that is one crash,
+        recorded once after the last batch.  An interrupt mid-flight
+        cancels the outstanding futures and discards the pool before
+        re-raising, so the next call on this engine starts from a
+        clean executor.
         """
         workers = effective_jobs(self._n_jobs, max(len(pending), 1))
         batches = self._payload_batches(pending, workers)
@@ -687,20 +650,35 @@ class CorpusEngine:
                     )
             return
         pool = self._ensure_pool(workers)
-        futures = [
-            (batch, pool.submit(_sweep_batch, list(batch)))
-            for batch in batches
-        ]
+        futures = []
+        broken: BrokenProcessPool | None = None
+        for batch in batches:
+            if broken is None:
+                try:
+                    future = pool.submit(_sweep_batch, list(batch))
+                except BrokenProcessPool as exc:
+                    broken = exc
+            if broken is not None:
+                # A worker died while this call was still submitting:
+                # the batches not yet submitted fail like the ones the
+                # break caught in flight, not on a respawned pool.
+                future = Future()
+                future.set_exception(broken)
+            futures.append((batch, future))
         for batch, _future in futures:
             report.batches += 1
             self._metrics.increment("sweep.batches")
+        crash: BaseException | None = None
+        casualties = 0
         try:
             for batch, future in futures:
                 try:
                     with tracer.span("sweep_batch", n_files=len(batch)):
                         results = future.result()
                 except (BrokenProcessPool, CancelledError) as exc:
-                    self._crashed_batch(batch, report, exc)
+                    crash = crash or exc
+                    casualties += len(batch)
+                    self._skip_casualties(batch, report, crash)
                     yield batch, None
                 else:
                     yield batch, results
@@ -709,6 +687,8 @@ class CorpusEngine:
                 future.cancel()
             self._discard_pool()
             raise
+        if crash is not None:
+            self._record_crash(report, crash, casualties)
 
     def _discard_pool(self) -> None:
         """Drop the warm pool; the next use respawns + rebroadcasts."""
@@ -732,139 +712,6 @@ class CorpusEngine:
             )
             self._pool = pool
         return pool
-
-    def _plan_budget(self, paths: Sequence[Path], workers: int) -> int:
-        """Per-batch byte budget from stat sizes (never file reads)."""
-        total = 0
-        for path in paths:
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        batches = max(1, workers * _BATCHES_PER_WORKER)
-        return max(1, total // batches)
-
-    def _run(
-        self, paths: list[Path], report: SweepReport
-    ) -> Iterator[tuple[Path, FileResult]]:
-        """The sweep generator behind :class:`SweepRun`."""
-        tracer = get_tracer()
-        with tracer.span("sweep", n_files=len(paths)):
-            yield from self._run_spanned(paths, report, tracer)
-        self._metrics.increment("sweep.files", len(paths))
-        self._metrics.increment("sweep.skipped", len(report.skipped))
-
-    def _run_spanned(self, paths, report, tracer):
-        workers = effective_jobs(self._n_jobs, len(paths))
-        inline = workers <= 1
-        window = self._window or max(2 * workers, 2)
-        budget = self._plan_budget(paths, workers)
-        # Items awaiting emission, in input order: ("hit", path,
-        # result) or ("batch", token, files) where files is the
-        # submitted [(index, name, data), ...] and token resolves to
-        # the batch's results.  In-flight bytes are bounded by the
-        # window: hits carry no raw data, batches are capped.
-        queue: deque = deque()
-        inflight = 0
-        batch: list[tuple[int, str, bytes]] = []
-        batch_bytes = 0
-
-        def close_batch():
-            nonlocal batch, batch_bytes, inflight
-            if not batch:
-                return
-            if inline:
-                token = list(batch)
-            else:
-                token = self._ensure_pool(workers).submit(
-                    _sweep_batch, list(batch)
-                )
-            queue.append(("batch", token, list(batch)))
-            report.batches += 1
-            self._metrics.increment("sweep.batches")
-            inflight += 1
-            batch = []
-            batch_bytes = 0
-
-        # Anything that is not part of the sweep's own failure
-        # handling — KeyboardInterrupt, an outer cancellation, the
-        # consumer abandoning this generator (GeneratorExit) — must
-        # not leave the engine with a half-drained window: cancel the
-        # outstanding futures, drop the pool, and re-raise, so the
-        # next sweep on this engine starts clean.
-        try:
-            for index, path in enumerate(paths):
-                try:
-                    data = path.read_bytes()
-                except OSError as exc:
-                    report.skipped.append(
-                        SkipEntry(
-                            path, "read", f"{type(exc).__name__}: {exc}"
-                        )
-                    )
-                    continue
-                if self.cache is not None:
-                    cached = self.cache.load(self._cache_key(data), path)
-                    if cached is not None:
-                        report.cache_hits += 1
-                        queue.append(("hit", path, cached))
-                        continue
-                batch.append((index, str(path), data))
-                batch_bytes += len(data)
-                if (
-                    batch_bytes >= budget
-                    or len(batch) >= _MAX_BATCH_FILES
-                ):
-                    close_batch()
-                    while inflight >= window or (inline and inflight):
-                        inflight -= self._emitted_batches(queue, report)
-                        yield from self._emit_front(queue, report, tracer)
-            close_batch()
-            while queue:
-                inflight -= self._emitted_batches(queue, report)
-                yield from self._emit_front(queue, report, tracer)
-        except BaseException:
-            self._abort_window(queue)
-            raise
-
-    def _abort_window(self, queue: deque) -> None:
-        """A sweep died mid-window: cancel the in-flight batch futures
-        and discard the pool (workers may hold half-submitted state),
-        so a later sweep respawns and rebroadcasts instead of
-        inheriting a wedged executor.  Inline sweeps have no futures
-        and keep nothing worth discarding."""
-        outstanding = 0
-        for kind, token, _files in queue:
-            if kind == "batch" and isinstance(token, Future):
-                token.cancel()
-                outstanding += 1
-        if outstanding:
-            self._discard_pool()
-
-    @staticmethod
-    def _emitted_batches(queue: deque, report) -> int:
-        """How many batches the next :meth:`_emit_front` resolves."""
-        return 1 if queue and queue[0][0] == "batch" else 0
-
-    def _emit_front(self, queue, report, tracer):
-        """Pop and yield the queue's front item (blocking on batches)."""
-        kind, token, extra = queue.popleft()
-        if kind == "hit":
-            report.completed += 1
-            yield token, extra
-            return
-        files = extra
-        try:
-            with tracer.span("sweep_batch", n_files=len(files)):
-                results = self._resolve(token)
-        except (BrokenProcessPool, CancelledError) as exc:
-            self._crashed_batch(files, report, exc)
-            return
-        for path, payload in self._settle_batch(
-            files, dict(results), report
-        ):
-            if isinstance(payload, FileResult):
-                yield path, payload
 
     def _settle_batch(
         self, files, outcomes: dict, report
@@ -897,19 +744,9 @@ class CorpusEngine:
                 settled.append((path, entry))
         return settled
 
-    def _resolve(self, token):
-        """Batch results from a token: future, or inline work list."""
-        if isinstance(token, Future):
-            return token.result()
-        return _run_batch(self._pipeline, self._policy, token)
-
-    def _crashed_batch(self, files, report, exc) -> None:
-        """A worker died mid-batch: loud metric + warning, casualties
-        named, pool discarded so the next batch respawns workers."""
-        if self._pool is not None:
-            self._pool.discard_broken()
-        report.worker_crashes += 1
-        self._metrics.increment("sweep.worker_crashes")
+    @staticmethod
+    def _skip_casualties(files, report, exc) -> None:
+        """Name a lost batch's files as replayable worker-stage skips."""
         for _index, name, _data in files:
             report.skipped.append(
                 SkipEntry(
@@ -919,8 +756,16 @@ class CorpusEngine:
                     f"({type(exc).__name__}: {exc})",
                 )
             )
+
+    def _record_crash(self, report, exc, casualties: int) -> None:
+        """A worker died during this call: one loud metric + warning,
+        pool discarded so the next call respawns workers."""
+        if self._pool is not None:
+            self._pool.discard_broken()
+        report.worker_crashes += 1
+        self._metrics.increment("sweep.worker_crashes")
         warnings.warn(
-            f"sweep worker crashed; {len(files)} file(s) skipped and "
+            f"sweep worker crashed; {casualties} file(s) skipped and "
             f"the pool was restarted: {type(exc).__name__}: {exc}",
             RuntimeWarning,
             stacklevel=3,

@@ -383,11 +383,8 @@ class TestBenchBaseline:
             "fit_seconds": fit_seconds,
             "stages": {"parsing": 0.01, "profile": 0.02},
             "analyze": {
-                "legacy_two_pass_seconds": 0.3,
                 "single_pass_seconds": 0.2,
                 "cached_seconds": 0.05,
-                "single_pass_speedup": 1.5,
-                "analyze_speedup": 6.0,
                 "cache_hits": 2,
                 "cache_misses": 1,
             },

@@ -18,6 +18,7 @@ from repro.errors import InvalidParameterError, NotFittedError
 from repro.ml.compiled import CompiledForest
 from repro.ml.forest import RandomForestClassifier
 from repro.obs import get_metrics
+from tests.forest_oracle import legacy_predict_proba
 
 
 def _fit(n=300, n_features=5, n_estimators=12, seed=0, **params):
@@ -31,7 +32,7 @@ def _fit(n=300, n_features=5, n_estimators=12, seed=0, **params):
 
 
 def _assert_bit_identical(forest, X):
-    legacy = forest.legacy_predict_proba(X)
+    legacy = legacy_predict_proba(forest, X)
     compiled = forest.predict_proba(X)
     assert compiled.dtype == legacy.dtype
     assert compiled.shape == legacy.shape
@@ -125,7 +126,6 @@ class TestDegenerateForests:
         assert len(narrow.classes_) == 2
         forest.estimators_ = forest.estimators_[:-1] + [narrow]
         forest._compiled = None
-        forest._tree_columns = None
         _assert_bit_identical(forest, X)
 
     def test_stump_forest(self):
@@ -142,7 +142,6 @@ class TestDegenerateForests:
         forest.n_estimators = copies
         forest.estimators_ = [tree] * copies
         forest._compiled = None
-        forest._tree_columns = None
         compiled = forest.compile()
         assert compiled._index_dtype == np.int64
         assert 2 * compiled.n_nodes > np.iinfo(np.int16).max
@@ -232,7 +231,7 @@ class TestCompiledStructure:
         forest, X = _fit()
         compiled = forest.compile()
         legacy = forest.classes_[
-            np.argmax(forest.legacy_predict_proba(X), axis=1)
+            np.argmax(legacy_predict_proba(forest, X), axis=1)
         ]
         assert np.array_equal(compiled.predict(X), legacy)
 

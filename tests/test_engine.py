@@ -16,6 +16,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,9 @@ from repro.io.writer import write_csv_text
 from repro.obs import get_metrics
 from repro.perf.engine import (
     CorpusEngine,
+    FileResult,
     SweepCache,
+    _encode_structure,
     model_fingerprint,
     policy_fingerprint,
 )
@@ -82,17 +85,22 @@ def corpus_dir(tiny_corpus, tmp_path_factory):
     return paths
 
 
+def _items(paths):
+    """``process_payloads`` input for files on disk."""
+    return [(str(path), path.read_bytes()) for path in paths]
+
+
 def _result_bytes(results):
     """Canonical byte view of a sweep's outputs, for parity asserts."""
     return [
         (
-            path.name,
+            result.path.name,
             result.dialect,
             result.line_codes.tobytes(),
             result.cell_positions.tobytes(),
             result.cell_codes.tobytes(),
         )
-        for path, result in results
+        for result in results
     ]
 
 
@@ -249,20 +257,21 @@ def test_sweep_cache_rejects_nonpositive_bound(tmp_path):
 def test_sweep_parity_across_jobs_and_cache(
     fitted_pipeline, corpus_dir, tmp_path
 ):
+    items = _items(corpus_dir)
     with CorpusEngine(fitted_pipeline, n_jobs=1) as engine:
-        sequential, report = engine.sweep_paths(corpus_dir)
+        sequential, report = engine.process_payloads(items)
     assert report.completed == len(corpus_dir)
     assert report.skipped == []
     assert engine._pool is None  # inline mode never spawns workers
 
     with CorpusEngine(fitted_pipeline, n_jobs=2) as engine:
-        parallel, _ = engine.sweep_paths(corpus_dir)
+        parallel, _ = engine.process_payloads(items)
 
     with CorpusEngine(
         fitted_pipeline, n_jobs=2, cache_dir=tmp_path / "cache"
     ) as engine:
-        cold, cold_report = engine.sweep_paths(corpus_dir)
-        warm, warm_report = engine.sweep_paths(corpus_dir)
+        cold, cold_report = engine.process_payloads(items)
+        warm, warm_report = engine.process_payloads(items)
     assert cold_report.cache_hits == 0
     assert warm_report.cache_hits == len(corpus_dir)
     assert warm_report.batches == 0  # all hits: nothing fanned out
@@ -278,16 +287,16 @@ def test_sweep_streams_results_in_input_order(
 ):
     reversed_paths = list(reversed(corpus_dir))
     with CorpusEngine(fitted_pipeline, n_jobs=2) as engine:
-        emitted = [path for path, _ in engine.sweep(reversed_paths)]
-    assert emitted == reversed_paths
+        outcomes, report = engine.process_payloads(_items(reversed_paths))
+    assert report.batches > 1  # order survives several parallel batches
+    assert [o.path for o in outcomes] == reversed_paths
 
 
 def test_sweep_results_decode_to_cell_classes(
     fitted_pipeline, corpus_dir
 ):
     with CorpusEngine(fitted_pipeline, n_jobs=1) as engine:
-        results, _ = engine.sweep_paths(corpus_dir[:1])
-    (_, result), = results
+        (result,), _ = engine.process_payloads(_items(corpus_dir[:1]))
     assert len(result.line_classes()) == result.n_rows
     for (row, col), cls in result.cell_classes().items():
         assert 0 <= row < result.n_rows
@@ -298,20 +307,6 @@ def test_sweep_results_decode_to_cell_classes(
 # ----------------------------------------------------------------------
 # CorpusEngine: failure paths
 # ----------------------------------------------------------------------
-def test_sweep_skips_unreadable_files(fitted_pipeline, corpus_dir):
-    paths = [corpus_dir[0], corpus_dir[0].parent / "missing.csv",
-             corpus_dir[1]]
-    with CorpusEngine(fitted_pipeline, n_jobs=1) as engine:
-        results, report = engine.sweep_paths(paths)
-    assert [path.name for path, _ in results] == [
-        corpus_dir[0].name, corpus_dir[1].name
-    ]
-    assert report.completed == 2
-    (skip,) = report.skipped
-    assert skip.path.name == "missing.csv"
-    assert skip.stage == "read"
-
-
 def test_sweep_poison_file_skips_without_aborting(
     fitted_pipeline, corpus_dir, tmp_path
 ):
@@ -325,9 +320,13 @@ def test_sweep_poison_file_skips_without_aborting(
     with CorpusEngine(
         fitted_pipeline, n_jobs=2, policy=policy, cache_dir=cache_dir
     ) as engine:
-        results, report = engine.sweep_paths(corpus_dir[:3])
+        outcomes, report = engine.process_payloads(
+            _items(corpus_dir[:3])
+        )
     skipped_names = {skip.path.name for skip in report.skipped}
-    completed_names = {path.name for path, _ in results}
+    completed_names = {
+        o.path.name for o in outcomes if isinstance(o, FileResult)
+    }
     assert corpus_dir[0].name in skipped_names
     assert completed_names | skipped_names == {
         p.name for p in corpus_dir[:3]
@@ -340,96 +339,58 @@ def test_sweep_poison_file_skips_without_aborting(
     assert len(list(cache_dir.glob("*.npz"))) == report.completed
 
 
-def test_sweep_worker_crash_is_loud_and_survivable(
-    fitted_pipeline, corpus_dir, tmp_path, monkeypatch
-):
-    """A worker killed mid-batch: metric + warning, the casualties are
-    named in the skip report, and the sweep finishes the rest on a
-    respawned pool."""
-    crash_path = tmp_path / "crashme.csv"
-    crash_path.write_text(
-        corpus_dir[0].read_text(encoding="utf-8"), encoding="utf-8"
-    )
-    paths = [crash_path, corpus_dir[0], corpus_dir[1]]
-    monkeypatch.setattr(engine_mod, "_sweep_batch", _crash_on_marker)
-    metrics = get_metrics()
-    crashes = metrics.counter("sweep.worker_crashes")
-    # window=1 keeps one batch in flight, so the crash is handled
-    # before later files are submitted — they must land on the
-    # respawned pool, not die as cancelled futures.
-    with CorpusEngine(fitted_pipeline, n_jobs=2, window=1) as engine:
-        with pytest.warns(RuntimeWarning, match="worker crashed"):
-            results, report = engine.sweep_paths(paths)
-    assert metrics.counter("sweep.worker_crashes") == crashes + 1
-    assert report.worker_crashes == 1
-    casualties = {skip.path.name for skip in report.skipped}
-    assert "crashme.csv" in casualties
-    for skip in report.skipped:
-        assert skip.stage == "worker"
-        assert "worker crashed" in skip.reason
-    # Files batched after the crash completed on the respawned pool.
-    survivors = {path.name for path, _ in results}
-    assert corpus_dir[1].name in survivors
-    assert report.completed + len(report.skipped) == len(paths)
-
-
 def test_sweep_report_as_dict_names_casualties(
     fitted_pipeline, corpus_dir
 ):
-    missing = corpus_dir[0].parent / "gone.csv"
-    with CorpusEngine(fitted_pipeline, n_jobs=1) as engine:
-        _, report = engine.sweep_paths([corpus_dir[0], missing])
+    items = _items(corpus_dir[:1]) + [("gone.csv", b"a,\x00b\n1,2\n")]
+    with CorpusEngine(
+        fitted_pipeline, n_jobs=1, policy=IngestPolicy(strict=True)
+    ) as engine:
+        _, report = engine.process_payloads(items)
     payload = report.as_dict()
     assert payload["files"] == 2
     assert payload["completed"] == 1
     (skip,) = payload["skipped"]
     assert skip["path"].endswith("gone.csv")
-    assert skip["stage"] == "read"
+    assert skip["stage"] == "classify"
 
 
 def test_sweep_interrupt_cancels_window_and_engine_survives(
-    fitted_pipeline, corpus_dir
+    fitted_pipeline, corpus_dir, monkeypatch
 ):
-    """Ctrl-C mid-sweep must not leave the engine wedged: the
-    in-flight futures are cancelled, the pool is discarded, the
-    interrupt propagates — and the *same* engine's next sweep runs on
-    a fresh pool and completes."""
-    with CorpusEngine(fitted_pipeline, n_jobs=2, window=2) as engine:
-        real_resolve = engine._resolve
-        calls = {"n": 0}
+    """Ctrl-C while a call waits on a batch must not leave the engine
+    wedged: the interrupt propagates, the submitted futures are
+    cancelled and the pool is discarded — and the *same* engine's
+    next call runs on a fresh pool and returns the same bytes."""
+    items = _items(corpus_dir)
+    with CorpusEngine(fitted_pipeline, n_jobs=1) as engine:
+        expected, _ = engine.process_payloads(items)
 
-        def interrupt_first(token):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise KeyboardInterrupt
-            return real_resolve(token)
+    def interrupt(*_args, **_kwargs):
+        raise KeyboardInterrupt
 
-        engine._resolve = interrupt_first
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                engine.sweep_paths(corpus_dir)
-        finally:
-            del engine._resolve  # back to the class implementation
-        assert engine._pool is None  # the window was discarded
+    with CorpusEngine(fitted_pipeline, n_jobs=2) as engine:
+        pool = engine._ensure_pool(2)
+        real_submit = pool.submit
+        submitted = []
 
-        results, report = engine.sweep_paths(corpus_dir)
+        def submit_then_interrupt(fn, *args):
+            future = real_submit(fn, *args)
+            if not submitted:
+                future.result = interrupt  # the wait on batch one
+            submitted.append(future)
+            return future
+
+        monkeypatch.setattr(pool, "submit", submit_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            engine.process_payloads(items)
+        assert len(submitted) > 1  # the interrupt hit a multi-batch call
+        assert engine._pool is None  # the pool was discarded
+
+        results, report = engine.process_payloads(items)
     assert report.completed == len(corpus_dir)
     assert report.skipped == []
-    assert [path for path, _ in results] == list(corpus_dir)
-
-
-def test_abandoned_sweep_iterator_releases_the_window(
-    fitted_pipeline, corpus_dir
-):
-    """A consumer that walks away from the streaming iterator
-    (GeneratorExit) gets the same cleanup as an interrupt."""
-    with CorpusEngine(fitted_pipeline, n_jobs=2, window=2) as engine:
-        run = iter(engine.sweep(corpus_dir))
-        next(run)
-        run.close()
-        assert engine._pool is None
-        _, report = engine.sweep_paths(corpus_dir)
-    assert report.completed == len(corpus_dir)
+    assert _result_bytes(results) == _result_bytes(expected)
 
 
 def test_atexit_teardown_tolerates_dead_executors():
@@ -470,18 +431,24 @@ def test_atexit_teardown_tolerates_dead_executors():
 def test_process_payloads_parity_with_sweep(
     fitted_pipeline, corpus_dir
 ):
-    items = [
-        (str(path), path.read_bytes()) for path in corpus_dir
-    ]
+    """The engine computes exactly what the pipeline computes on its
+    own: each payload's arrays equal a direct ``analyze_bytes``."""
+    items = _items(corpus_dir)
     with CorpusEngine(fitted_pipeline, n_jobs=1) as engine:
-        swept, _ = engine.sweep_paths(corpus_dir)
         payloads, report = engine.process_payloads(items)
     assert report.completed == len(items)
     assert report.skipped == []
-    assert _result_bytes(swept) == _result_bytes(
-        [(Path(name), result) for (name, _), result in
-         zip(items, payloads)]
-    )
+    for (_name, data), result in zip(items, payloads):
+        direct = _encode_structure(fitted_pipeline.analyze_bytes(data))
+        assert result.line_codes.tobytes() == (
+            direct["line_codes"].tobytes()
+        )
+        assert result.cell_positions.tobytes() == (
+            direct["cell_positions"].tobytes()
+        )
+        assert result.cell_codes.tobytes() == (
+            direct["cell_codes"].tobytes()
+        )
 
 
 def test_process_payloads_aligns_skips_in_place(
@@ -513,14 +480,20 @@ def test_process_payloads_aligns_skips_in_place(
 def test_process_payloads_shares_the_sweep_cache(
     fitted_pipeline, corpus_dir, tmp_path
 ):
-    """A swept file and a served payload with the same bytes hit one
-    cache entry — and a cached payload never fans out a batch."""
-    items = [(str(path), path.read_bytes()) for path in corpus_dir]
+    """Engines over one cache directory share entries: payloads one
+    engine classified are hits for another with the same model, even
+    under other names — and a cached payload never fans out a batch."""
+    items = _items(corpus_dir)
+    with CorpusEngine(
+        fitted_pipeline, n_jobs=2, cache_dir=tmp_path / "cache"
+    ) as engine:
+        engine.process_payloads(items)
+    renamed = [(f"served-{i}.csv", data) for i, (_, data) in
+               enumerate(items)]
     with CorpusEngine(
         fitted_pipeline, n_jobs=1, cache_dir=tmp_path / "cache"
     ) as engine:
-        engine.sweep_paths(corpus_dir)
-        outcomes, report = engine.process_payloads(items)
+        outcomes, report = engine.process_payloads(renamed)
     assert report.cache_hits == len(items)
     assert report.batches == 0
     assert all(hasattr(o, "line_codes") for o in outcomes)
@@ -533,7 +506,8 @@ def test_process_payloads_worker_crash_names_aligned_casualties(
     or SkipEntry), the marker file is named a worker-stage casualty,
     and the engine's next call runs on a respawned pool.  All batches
     were submitted up front, so sibling batches may die with the pool
-    — loudly, never silently."""
+    — loudly, never silently, and as one crash with one warning, not
+    one per lost batch."""
     monkeypatch.setattr(engine_mod, "_sweep_batch", _crash_on_marker)
     data = corpus_dir[0].read_bytes()
     items = [("crashme.csv", data)] + [
@@ -542,9 +516,11 @@ def test_process_payloads_worker_crash_names_aligned_casualties(
     metrics = get_metrics()
     crashes = metrics.counter("sweep.worker_crashes")
     with CorpusEngine(fitted_pipeline, n_jobs=2) as engine:
-        with pytest.warns(RuntimeWarning, match="worker crashed"):
+        with pytest.warns(RuntimeWarning, match="worker crashed") as caught:
             outcomes, report = engine.process_payloads(items)
-        assert metrics.counter("sweep.worker_crashes") >= crashes + 1
+        assert sum("worker crashed" in str(w.message) for w in caught) == 1
+        assert report.worker_crashes == 1
+        assert metrics.counter("sweep.worker_crashes") == crashes + 1
         assert len(outcomes) == len(items)
         casualties = [
             o for o in outcomes
@@ -560,9 +536,38 @@ def test_process_payloads_worker_crash_names_aligned_casualties(
         assert all(hasattr(o, "line_codes") for o in retried)
 
 
-def test_engine_rejects_nonpositive_window(fitted_pipeline):
-    with pytest.raises(InvalidParameterError):
-        CorpusEngine(fitted_pipeline, window=0)
+def test_process_payloads_pool_broken_during_submission(
+    fitted_pipeline, corpus_dir, monkeypatch
+):
+    """A worker can die before the call has submitted every batch:
+    the pool then refuses further submissions.  That is the same one
+    crash — the unsubmitted batches become worker-stage casualties
+    instead of the error escaping the call."""
+    items = _items(corpus_dir)
+    with CorpusEngine(fitted_pipeline, n_jobs=2) as engine:
+        pool = engine._ensure_pool(2)
+        real_submit = pool.submit
+        submitted = []
+
+        def submit_then_break(fn, *args):
+            if submitted:
+                raise BrokenProcessPool("a worker died")
+            submitted.append(fn)
+            return real_submit(fn, *args)
+
+        monkeypatch.setattr(pool, "submit", submit_then_break)
+        with pytest.warns(RuntimeWarning, match="worker crashed") as caught:
+            outcomes, report = engine.process_payloads(items)
+        monkeypatch.undo()
+        assert sum("worker crashed" in str(w.message) for w in caught) == 1
+        assert report.worker_crashes == 1
+        assert report.batches > 1
+        assert isinstance(outcomes[0], FileResult)  # batch one ran
+        lost = [o for o in outcomes if not isinstance(o, FileResult)]
+        assert lost and all(o.stage == "worker" for o in lost)
+        assert report.completed + len(lost) == len(items)
+        _, retry_report = engine.process_payloads(items)
+    assert retry_report.completed == len(items)
 
 
 def test_engine_pool_persists_across_sweeps(
@@ -570,8 +575,8 @@ def test_engine_pool_persists_across_sweeps(
 ):
     metrics = get_metrics()
     with CorpusEngine(fitted_pipeline, n_jobs=2) as engine:
-        engine.sweep_paths(corpus_dir[:2])
+        engine.process_payloads(_items(corpus_dir[:2]))
         spawns = metrics.counter("worker_pool.spawns")
-        engine.sweep_paths(corpus_dir[:2])
+        engine.process_payloads(_items(corpus_dir[:2]))
         assert metrics.counter("worker_pool.spawns") == spawns
     assert engine._pool is None  # close() released the workers

@@ -19,6 +19,7 @@ from repro.ml.persistence import (
     save_forest,
     save_line_classifier,
 )
+from tests.forest_oracle import legacy_predict_proba
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +73,8 @@ class TestForestPersistence:
         # estimators_ are decompiled back, so the legacy path and
         # feature importances still work on a loaded model.
         assert len(restored.estimators_) == 5
-        assert restored.legacy_predict_proba(X).tobytes() == (
-            forest.legacy_predict_proba(X).tobytes()
+        assert legacy_predict_proba(restored, X).tobytes() == (
+            legacy_predict_proba(forest, X).tobytes()
         )
 
     def test_version_1_bundle_still_loads(self, tmp_path, training_data):

@@ -363,14 +363,15 @@ def test_run_benchmark_smoke(tmp_path):
     report = run_benchmark(config)
     assert report["schema"] == "repro-bench/1"
     assert report["cv"]["byte_identical"] is True
-    assert set(report["analyze"]) >= {
-        "legacy_two_pass_seconds",
+    assert set(report["analyze"]) == {
         "single_pass_seconds",
         "cached_seconds",
-        "single_pass_speedup",
-        "analyze_speedup",
+        "cache_hits",
+        "cache_misses",
     }
     assert report["analyze"]["cache_hits"] > 0
+    assert report["corpus_sweep"]["byte_identical"] is True
+    assert report["service_roundtrip"]["byte_identical"] is True
 
     prediction = report["prediction"]
     assert prediction["rows"] > 0 and prediction["cells"] > 0
@@ -422,7 +423,6 @@ def _fake_report(**overrides) -> dict:
             "cell_features": 0.05,
         },
         "analyze": {
-            "legacy_two_pass_seconds": 0.3,
             "single_pass_seconds": 0.2,
             "cached_seconds": 0.05,
         },

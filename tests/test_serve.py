@@ -234,10 +234,12 @@ class TestServiceRoundtrip:
 
         served, raw, summary = asyncio.run(drive())
         with CorpusEngine(fitted_pipeline, n_jobs=1) as engine:
-            direct, report = engine.sweep_paths(corpus_dir)
+            direct, report = engine.process_payloads(
+                [(str(p), p.read_bytes()) for p in corpus_dir]
+            )
         assert report.skipped == []
         assert [_arrays(r) for r in served] == [
-            _arrays(result) for _path, result in direct
+            _arrays(result) for result in direct
         ]
         assert _arrays(raw) == _arrays(served[0])
         assert summary["requests"] == len(corpus_dir) + 1
@@ -469,7 +471,9 @@ class TestTcpFrontEnd:
         assert by_path["ok"] and by_bytes["ok"]
 
         with CorpusEngine(fitted_pipeline, n_jobs=1) as engine:
-            ((_, direct),), _report = engine.sweep_paths([target])
+            (direct,), _report = engine.process_payloads(
+                [(str(target), target.read_bytes())]
+            )
         assert _arrays(result_from_payload(by_path["result"])) == \
             _arrays(direct)
         assert by_bytes["result"]["cells"] == by_path["result"]["cells"]
